@@ -30,7 +30,6 @@
 //! (messages beyond the cap are counted as dropped; `tracediff`
 //! refuses to certify runs with drops as identical).
 
-use harness::{Protocol, SweepBuilder};
 use mpisim::comm::RunOptions;
 use mpisim::{observe, Machine, OpClass, Rank};
 use obs::MetricsRegistry;
@@ -225,35 +224,7 @@ fn run_suite(out_dir: &str, threads: usize, trace_cap: Option<usize>, elide: boo
 
     // The same grid measured through the harness methodology: the
     // Dataset side of the serial-vs-parallel byte-equality gate.
-    let ops: Vec<OpClass> = suite
-        .iter()
-        .map(|pt| pt.op)
-        .collect::<Vec<_>>()
-        .into_iter()
-        .fold(Vec::new(), |mut acc, op| {
-            if !acc.contains(&op) {
-                acc.push(op);
-            }
-            acc
-        });
-    let machines: Vec<Machine> = {
-        let mut seen: Vec<Machine> = Vec::new();
-        for pt in &suite {
-            if !seen.iter().any(|m| m.name() == pt.machine.name()) {
-                seen.push(pt.machine.clone());
-            }
-        }
-        seen
-    };
-    let data = SweepBuilder::new()
-        .machines(machines)
-        .ops(ops)
-        .message_sizes([bench::perfgate::SUITE_BYTES])
-        .node_counts([bench::perfgate::SUITE_NODES])
-        .protocol(Protocol::quick())
-        .threads(threads)
-        .run()
-        .expect("suite sweep");
+    let data = bench::perfgate::suite_dataset(threads).expect("suite sweep");
     std::fs::write(format!("{out_dir}/dataset.csv"), data.to_csv()).expect("write dataset");
     println!(
         "wrote {out_dir}/dataset.csv ({} points, {} workers, {:.0}% utilization)",

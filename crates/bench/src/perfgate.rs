@@ -76,6 +76,25 @@ pub fn default_suite() -> Vec<SuitePoint> {
     suite
 }
 
+/// The suite grid (every machine × every collective at the
+/// representative `(m, p)`) measured through the harness methodology
+/// under [`Protocol::quick`]: the `dataset.csv` that `observe --suite`
+/// writes. Byte-identical at any `threads`.
+///
+/// # Errors
+///
+/// Propagates executor failures from the sweep.
+pub fn suite_dataset(threads: usize) -> Result<harness::Dataset, SimMpiError> {
+    harness::SweepBuilder::new()
+        .machines(crate::machines())
+        .ops(crate::SIX_OPS.into_iter().chain([OpClass::Barrier]))
+        .message_sizes([SUITE_BYTES])
+        .node_counts([SUITE_NODES])
+        .protocol(Protocol::quick())
+        .threads(threads)
+        .run()
+}
+
 /// One suite point's event-elision A/B measurement: the same point run
 /// with the analytic fast path off and on, with total engine events,
 /// the admission counters, and the wall clock of each run. The two
@@ -702,6 +721,26 @@ mod tests {
             } else {
                 assert_eq!(pt.bytes, SUITE_BYTES);
             }
+        }
+    }
+
+    #[test]
+    fn committed_reports_still_parse() {
+        // The committed reports are history, read by `tracediff --history`
+        // and perfgate's schema fail-fast. They keep metric keys of
+        // retired features; parsing must not depend on the current set.
+        for path in [
+            concat!(env!("CARGO_MANIFEST_DIR"), "/baseline.json"),
+            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_2026-08-09.json"),
+        ] {
+            let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            let report = BenchReport::from_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert_eq!(report.schema_version, SCHEMA_VERSION, "{path}");
+            assert_eq!(report.points.len(), default_suite().len(), "{path}");
+            assert!(
+                matches!(&report.metrics, Json::Object(m) if !m.is_empty()),
+                "{path}: metrics snapshot"
+            );
         }
     }
 
