@@ -18,7 +18,7 @@
 //! series). Output is byte-identical for any `--threads N`. With
 //! `--deny`, exits nonzero if any explored order-sensitive pair was
 //! *not* predicted by the static relation (an unexplained pair) — the
-//! CI gate guarding the elision/parallel-DES admission set.
+//! CI gate guarding the determinism contract.
 //!
 //! `--demo-broken` seeds the known failure mode instead (invert *all*
 //! ties) and reports the minimal divergent pair with provenance
@@ -195,7 +195,7 @@ fn run_suite(args: &Args) {
 fn summary(census: &SuiteCensus) {
     println!(
         "explored {} inversions: {} order-sensitive ({} unexplained) — \
-         static independence {} the admission set",
+         static independence {} the determinism contract",
         census.explored(),
         census.sensitive(),
         census.unexplained(),

@@ -66,9 +66,6 @@ pub struct PointCli {
     pub threads: usize,
     /// `--trace-cap`.
     pub trace_cap: Option<usize>,
-    /// `--elide`: run with the event-elision fast path on
-    /// (timeline-identical; disables provenance).
-    pub elide: bool,
 }
 
 impl Default for PointCli {
@@ -82,7 +79,6 @@ impl Default for PointCli {
             suite: false,
             threads: 1,
             trace_cap: None,
-            elide: false,
         }
     }
 }
@@ -114,10 +110,6 @@ impl PointCli {
             "--trace-cap" => need(&mut |v| v.parse().map(|n| self.trace_cap = Some(n)).is_ok()),
             "--suite" => {
                 self.suite = true;
-                Accept::Consumed
-            }
-            "--elide" => {
-                self.elide = true;
                 Accept::Consumed
             }
             _ => Accept::Unknown,
@@ -179,10 +171,6 @@ mod tests {
     fn selection_requires_point_or_suite() {
         let mut cli = PointCli::default();
         assert!(!cli.selection_ok());
-        assert!(!cli.elide);
-        assert_eq!(cli.accept("--elide", || None), Accept::Consumed);
-        assert!(cli.elide, "--elide is a valueless toggle");
-        assert!(!cli.selection_ok(), "--elide alone selects nothing");
         assert_eq!(cli.accept("--suite", || None), Accept::Consumed);
         assert!(cli.selection_ok());
         assert_eq!(cli.out_dir(), ".");

@@ -15,8 +15,7 @@
 
 use desim::SplitMix64;
 use harness::{measure, Protocol};
-use mpisim::comm::RunOptions;
-use mpisim::{Machine, OpClass, Rank, SimMpiError};
+use mpisim::{Machine, OpClass, SimMpiError};
 use obs::Json;
 use std::time::Instant;
 
@@ -93,92 +92,6 @@ pub fn suite_dataset(threads: usize) -> Result<harness::Dataset, SimMpiError> {
         .protocol(Protocol::quick())
         .threads(threads)
         .run()
-}
-
-/// One suite point's event-elision A/B measurement: the same point run
-/// with the analytic fast path off and on, with total engine events,
-/// the admission counters, and the wall clock of each run. The two
-/// executions are timeline-identical by construction (the elision
-/// equivalence gate certifies that); this measures what the fast path
-/// *saves*.
-#[derive(Debug, Clone)]
-pub struct ElideAb {
-    /// Suite-point identifier (`sp2/alltoall`).
-    pub label: String,
-    /// Messages sent (identical in both runs).
-    pub messages: u64,
-    /// Engine events fired with elision off.
-    pub base_events: u64,
-    /// Engine events fired with elision on.
-    pub elided_events: u64,
-    /// Transfers completed in closed form.
-    pub admitted: u64,
-    /// Transfers that fell back to the event-by-event wire walk.
-    pub fallbacks: u64,
-    /// Wall-clock of the elision-off run, µs.
-    pub wall_off_us: f64,
-    /// Wall-clock of the elision-on run, µs.
-    pub wall_on_us: f64,
-}
-
-impl ElideAb {
-    /// Events-per-message reduction factor, off over on.
-    pub fn event_ratio(&self) -> f64 {
-        if self.elided_events == 0 {
-            0.0
-        } else {
-            self.base_events as f64 / self.elided_events as f64
-        }
-    }
-
-    /// Fraction of send attempts the fast path admitted.
-    pub fn admission_rate(&self) -> f64 {
-        let attempts = self.admitted + self.fallbacks;
-        if attempts == 0 {
-            0.0
-        } else {
-            self.admitted as f64 / attempts as f64
-        }
-    }
-}
-
-/// Runs the elision A/B over a suite: each point twice, fast path off
-/// then on. Event counts and admission counters are deterministic; the
-/// wall clocks are host-side and only reported, never gated.
-///
-/// # Errors
-///
-/// Propagates the first simulation failure.
-pub fn elide_ab(suite: &[SuitePoint]) -> Result<Vec<ElideAb>, SimMpiError> {
-    suite
-        .iter()
-        .map(|pt| {
-            let comm = pt.machine.communicator(pt.nodes)?;
-            let s = comm.schedule(pt.op, Rank(0), pt.bytes)?;
-            let t0 = Instant::now();
-            let (base, _) = comm.run_observed(&[&s], RunOptions::default())?;
-            let wall_off_us = t0.elapsed().as_secs_f64() * 1e6;
-            let t1 = Instant::now();
-            let (fast, observed) = comm.run_observed(
-                &[&s],
-                RunOptions {
-                    elide: true,
-                    ..RunOptions::default()
-                },
-            )?;
-            let wall_on_us = t1.elapsed().as_secs_f64() * 1e6;
-            Ok(ElideAb {
-                label: pt.label(),
-                messages: fast.messages,
-                base_events: base.events,
-                elided_events: fast.events,
-                admitted: observed.elide.admitted,
-                fallbacks: observed.elide.attempts() - observed.elide.admitted,
-                wall_off_us,
-                wall_on_us,
-            })
-        })
-        .collect()
 }
 
 /// Median of a sample set (mean of the middle pair for even counts).

@@ -5,8 +5,8 @@
 //! The explorer is bounded, not exhaustive: candidates are grouped by
 //! unordered event-class pair (e.g. `message_ready+rank_resume`) and a
 //! capped, evenly-strided sample of each group is explored — both
-//! statically-independent pairs (validating the admission claim: their
-//! inversion must be canonically invisible) and dependent pairs
+//! statically-independent pairs (validating the independence claim:
+//! their inversion must be canonically invisible) and dependent pairs
 //! (measuring how many predicted conflicts are real). The oracle is
 //! [`RunRecord::canonicalized`]: a swap that only permutes sequence
 //! numbers and same-instant log order is *commuting*; anything that

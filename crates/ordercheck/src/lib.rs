@@ -29,6 +29,11 @@
 //!    static layer called it independent, it is **unexplained** — the
 //!    deny-gate failure condition.
 //!
+//! Together the layers certify the simulator's determinism contract:
+//! the committed insertion order is the only tie order the results
+//! depend on, and only where the static layer predicts it. The
+//! `InvertAll`/`InvertPair` perturbation verdicts are the evidence.
+//!
 //! The output is a machine-readable commutability census per suite
 //! point ([`census`]), naming the event-class pairs whose order
 //! matters. [`demo`] seeds the known failure mode (invert *all* ties)

@@ -182,7 +182,7 @@ fn current() -> (Vec<Line>, BTreeMap<String, RunRecord>) {
     let mut records = BTreeMap::new();
     let suite = default_suite();
     for pt in &suite {
-        let rec = record_suite_point(pt, TieBreakPolicy::InsertionOrder, None, false);
+        let rec = record_suite_point(pt, TieBreakPolicy::InsertionOrder, None);
         lines.push(Line::new(
             Class::Output,
             "record",

@@ -35,7 +35,7 @@ fn cheap_opts() -> ExploreOptions {
 
 #[test]
 fn statically_independent_pairs_always_commute() {
-    // The admission claim: a pair the static relation calls independent
+    // The independence claim: a pair the static relation calls independent
     // must be canonically invisible under inversion. Any sensitive pair
     // the explorer finds has to be one the relation already predicted.
     forall("order_independent_commute", 10, |g| {
