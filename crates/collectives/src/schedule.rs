@@ -10,6 +10,7 @@
 
 use netmodel::OpClass;
 use std::collections::{HashMap, VecDeque};
+use std::sync::OnceLock;
 
 /// A process rank within the collective (identical to the node index —
 /// the paper runs exactly one process per node).
@@ -50,10 +51,31 @@ pub enum Step {
 }
 
 /// A complete collective schedule: one program per rank.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Schedule {
     class: OpClass,
     programs: Vec<Vec<Step>>,
+    /// The verdict of [`Schedule::check`], computed on its first call and
+    /// cleared by [`Schedule::push`]. Not part of the schedule's value:
+    /// equality and `Debug` ignore it.
+    verdict: OnceLock<Result<(), ScheduleError>>,
+}
+
+impl PartialEq for Schedule {
+    fn eq(&self, other: &Self) -> bool {
+        self.class == other.class && self.programs == other.programs
+    }
+}
+
+impl Eq for Schedule {}
+
+impl std::fmt::Debug for Schedule {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Schedule")
+            .field("class", &self.class)
+            .field("programs", &self.programs)
+            .finish()
+    }
 }
 
 /// Why a schedule failed validation.
@@ -166,6 +188,7 @@ impl Schedule {
         Schedule {
             class,
             programs: vec![Vec::new(); p],
+            verdict: OnceLock::new(),
         }
     }
 
@@ -179,13 +202,15 @@ impl Schedule {
         self.programs.len()
     }
 
-    /// Appends a step to `rank`'s program.
+    /// Appends a step to `rank`'s program, discarding any stored
+    /// [`Schedule::check`] verdict.
     ///
     /// # Panics
     ///
     /// Panics if `rank` is out of range.
     pub fn push(&mut self, rank: Rank, step: Step) {
         self.programs[rank.0].push(step);
+        self.verdict.take();
     }
 
     /// The program of one rank.
@@ -264,10 +289,20 @@ impl Schedule {
     /// here before layering on its interleaving-independent analyses
     /// (match ambiguity, volume conservation, depth bounds).
     ///
+    /// The verdict, an error included, is stored in the schedule: the
+    /// abstract execution runs once per value, and every later call
+    /// (each `run_with` of a prebuilt schedule, say) returns the stored
+    /// verdict. [`Schedule::push`] discards it; a clone keeps it.
+    ///
     /// # Errors
     ///
     /// Returns the first [`ScheduleError`] encountered.
     pub fn check(&self) -> Result<(), ScheduleError> {
+        self.verdict.get_or_init(|| self.validate()).clone()
+    }
+
+    /// The abstract execution behind [`Schedule::check`].
+    fn validate(&self) -> Result<(), ScheduleError> {
         let p = self.ranks();
         for (r, prog) in self.iter() {
             for step in prog {

@@ -43,9 +43,10 @@ pub enum SimMpiError {
     },
     /// `run_sequence` was called with no segments.
     EmptySequence,
-    /// A rank's tape did not run to completion even though validation
-    /// passed (or was skipped via `ExecConfig::skip_validation`): the
-    /// executor stalled waiting on a message that never arrived.
+    /// A rank's tape did not run to completion: the executor stalled
+    /// waiting on a message that never arrived. A validated schedule
+    /// cannot stall, so this is reached only by running an unvalidated
+    /// one through `ExecConfig::skip_validation`, as the stall tests do.
     RankStalled {
         /// The stalled rank.
         rank: usize,

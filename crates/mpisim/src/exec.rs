@@ -38,9 +38,11 @@ pub struct ExecConfig {
     /// Per-rank start instants (models unsynchronized node clocks /
     /// skewed arrival). Default: everyone starts at time zero.
     pub start_times: Option<Vec<SimTime>>,
-    /// Validate every schedule before running (on by default via
-    /// [`ExecConfig::default`] — turn off only in hot measurement loops
-    /// that re-run already-validated schedules).
+    /// Run the schedules without validating them. Not a performance
+    /// knob: [`Schedule::check`] stores its verdict, so a validated
+    /// schedule costs nothing to validate again. It exists so stall
+    /// tests can execute invalid schedules and observe
+    /// [`SimMpiError::RankStalled`].
     pub skip_validation: bool,
     /// Record a per-message trace (see [`MessageTrace`]). Off by default:
     /// tracing a 128-node alltoall allocates one record per message.
@@ -446,10 +448,9 @@ fn execute_inner(
         return Err(SimMpiError::EmptySequence);
     };
     let p = first.ranks();
-    // Validate each *distinct* schedule once: measurement sequences repeat
-    // the same collective 20+ times, and re-walking its steps per segment
-    // would dominate small runs.
-    let mut checked: Vec<*const Schedule> = Vec::new();
+    // `check()` stores its verdict in the schedule, so a segment list that
+    // repeats one collective, or a prebuilt schedule run again, pays for
+    // the abstract execution once.
     for seg in segments {
         if seg.ranks() != p {
             return Err(SimMpiError::SizeMismatch {
@@ -457,10 +458,8 @@ fn execute_inner(
                 communicator: p,
             });
         }
-        let key: *const Schedule = *seg;
-        if !cfg.skip_validation && !checked.contains(&key) {
+        if !cfg.skip_validation {
             seg.check()?;
-            checked.push(key);
         }
     }
     let start = match &cfg.start_times {
@@ -569,9 +568,9 @@ fn execute_inner(
     engine.run(&mut world);
 
     // Every rank must have drained its tape; anything else is a deadlock
-    // that validation would have caught (reachable only via
-    // `skip_validation`, so it is a typed error, not a panic — the
-    // schedcheck property tests rely on observing it).
+    // that validation would have caught. It is reachable only through
+    // `skip_validation`, and the stall tests observe it, so it is a typed
+    // error, not a panic.
     for (r, rs) in world.ranks.iter().enumerate() {
         if rs.pc != rs.tape.len() {
             return Err(SimMpiError::RankStalled {

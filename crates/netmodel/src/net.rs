@@ -190,12 +190,9 @@ pub struct NetState {
     /// Per-link/per-class accounting; `None` (the default) keeps the
     /// send hot path free of per-link bookkeeping.
     instr: Option<Box<NetInstr>>,
-    /// Lazily filled per-pair route cache (routing is deterministic, and
-    /// measurement loops re-send along the same pairs thousands of
-    /// times). Indexed `src * nodes + dst`.
-    route_cache: Vec<Option<topo::Route>>,
-    /// Scratch buffer holding the current route's links, so the send hot
-    /// path does not re-borrow the cache while acquiring link resources.
+    /// The current message's route, written by `Topology::route_into`
+    /// on every send and reused across sends, so routing allocates
+    /// nothing once the buffer has grown to the longest route.
     scratch: Vec<topo::LinkId>,
     /// Relative link capacities, precomputed once (indexed by link id) so
     /// the per-segment wire loop avoids a virtual topology call per hop.
@@ -249,7 +246,6 @@ impl NetState {
             fifo_updates: 0,
             fifo_commits: 0,
             instr: None,
-            route_cache: vec![None; p * p],
             scratch: Vec::new(),
             link_cap,
             link_acc: Vec::new(),
@@ -391,11 +387,10 @@ impl NetState {
 
         // Wire traversal, optionally packetized: each segment reserves
         // injection and link occupancy independently, so competing
-        // traffic interleaves at segment granularity. Routes are looked
-        // up through the per-pair cache (routing is deterministic and
-        // measurement loops re-send along the same pairs thousands of
-        // times); the link ids are copied into the scratch buffer so the
-        // loop below can borrow the resource pools mutably.
+        // traffic interleaves at segment granularity. The route is
+        // computed afresh into the scratch buffer (every topology the
+        // machines build routes arithmetically, in a few ns per hop), a
+        // field apart from the resource pools the loop below borrows.
         let stream_ns_per_byte = spec.link_ns_per_byte.max(engine_ns_per_byte);
         let total_bytes = bytes.max(spec.min_packet_bytes);
         let seg_size = self
@@ -404,13 +399,7 @@ impl NetState {
             .map(|s| s.max(spec.min_packet_bytes))
             .unwrap_or(total_bytes)
             .min(total_bytes);
-        let cache_idx = src.0 * self.nodes() + dst.0;
-        if self.route_cache[cache_idx].is_none() {
-            self.route_cache[cache_idx] = Some(self.topo.route(src, dst));
-        }
-        self.scratch.clear();
-        let cached = self.route_cache[cache_idx].as_ref().expect("filled above");
-        self.scratch.extend_from_slice(cached.links());
+        self.topo.route_into(src, dst, &mut self.scratch);
         let hop = SimDuration::from_nanos_f64(spec.hop_ns);
         if let Some(instr) = &mut self.instr {
             for link in &self.scratch {

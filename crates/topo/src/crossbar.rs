@@ -6,7 +6,7 @@
 //! Used by the ablation benches to bound how much of a collective's time
 //! is network topology versus endpoint software.
 
-use crate::{LinkId, NodeId, Route, Topology};
+use crate::{LinkId, NodeId, Topology};
 
 /// A fully connected crossbar over `n` nodes: one dedicated
 /// unidirectional link per ordered pair, all routes a single hop.
@@ -71,12 +71,12 @@ impl Topology for Crossbar {
         }
     }
 
-    fn route(&self, src: NodeId, dst: NodeId) -> Route {
+    fn route_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
         assert!(src.0 < self.n && dst.0 < self.n, "node out of range");
-        if src == dst {
-            return Route::local();
+        out.clear();
+        if src != dst {
+            out.push(self.pair_link(src, dst));
         }
-        Route::from_links(vec![self.pair_link(src, dst)])
     }
 
     fn describe(&self) -> String {

@@ -12,7 +12,7 @@
 //! if conclusions survive swapping Omega ↔ fat tree, they do not hinge
 //! on the indirect-network abstraction.
 
-use crate::{LinkId, NodeId, Route, Topology};
+use crate::{LinkId, NodeId, Topology};
 
 /// A k-ary fat tree over `p` leaves (padded to a power of `k`).
 ///
@@ -137,25 +137,24 @@ impl Topology for FatTree {
         (0..self.levels).map(|l| 2 * self.level_width(l)).sum()
     }
 
-    fn route(&self, src: NodeId, dst: NodeId) -> Route {
+    fn route_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
         assert!(
             src.0 < self.nodes && dst.0 < self.nodes,
             "node out of range"
         );
+        out.clear();
         if src == dst {
-            return Route::local();
+            return;
         }
         let turn = self.lca_level(src, dst);
-        let mut links = Vec::with_capacity(2 * (turn + 1));
         // Climb from the source leaf to the LCA…
         for level in 0..=turn {
-            links.push(self.up_link(src.0, level));
+            out.push(self.up_link(src.0, level));
         }
         // …then descend to the destination leaf.
         for level in (0..=turn).rev() {
-            links.push(self.down_link(dst.0, level));
+            out.push(self.down_link(dst.0, level));
         }
-        Route::from_links(links)
     }
 
     fn describe(&self) -> String {

@@ -7,12 +7,12 @@
 
 use std::collections::VecDeque;
 
-use crate::{LinkId, NodeId, Route, Topology};
+use crate::{LinkId, NodeId, Topology};
 
 /// A directed graph topology. Links are numbered in insertion order.
 ///
 /// Routing is breadth-first shortest path with deterministic tie-breaking
-/// (lowest neighbor id first), precomputed per source on first use.
+/// (lowest neighbor id first), searched afresh on every call.
 ///
 /// # Examples
 ///
@@ -115,23 +115,22 @@ impl Topology for Graph {
         self.edges.len()
     }
 
-    fn route(&self, src: NodeId, dst: NodeId) -> Route {
+    fn route_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
         assert!(src.0 < self.n && dst.0 < self.n, "node out of range");
+        out.clear();
         if src == dst {
-            return Route::local();
+            return;
         }
         let parent = self.bfs(src);
-        let mut rev = Vec::new();
         let mut at = dst;
         while at != src {
             let Some(l) = parent[at.0] else {
                 panic!("no route from {src} to {dst}: graph is disconnected");
             };
-            rev.push(l);
+            out.push(l);
             at = self.edges[l.0].0;
         }
-        rev.reverse();
-        Route::from_links(rev)
+        out.reverse();
     }
 
     fn describe(&self) -> String {

@@ -8,7 +8,7 @@
 //! custom machines to ask how the paper's collectives would fare on a
 //! richer topology.
 
-use crate::{LinkId, NodeId, Route, Topology};
+use crate::{LinkId, NodeId, Topology};
 
 /// A `2^dimensions`-node binary hypercube with e-cube routing.
 ///
@@ -76,23 +76,21 @@ impl Topology for Hypercube {
         self.nodes() * self.dims as usize
     }
 
-    fn route(&self, src: NodeId, dst: NodeId) -> Route {
+    fn route_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
         assert!(
             src.0 < self.nodes() && dst.0 < self.nodes(),
             "node out of range"
         );
-        let mut links = Vec::new();
+        out.clear();
         let mut at = src;
         // E-cube: correct differing bits from lowest to highest.
         for dim in 0..self.dims {
             if (at.0 ^ dst.0) & (1 << dim) != 0 {
-                let l = self.link(at, dim);
-                links.push(l);
+                out.push(self.link(at, dim));
                 at = NodeId(at.0 ^ (1 << dim));
             }
         }
         debug_assert_eq!(at, dst);
-        Route::from_links(links)
     }
 
     fn describe(&self) -> String {

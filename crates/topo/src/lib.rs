@@ -132,12 +132,26 @@ pub trait Topology {
     /// Number of unidirectional links (dense id space `0..links()`).
     fn links(&self) -> usize;
 
+    /// Writes the deterministic route from `src` to `dst` into `out`,
+    /// replacing its contents. The allocation-free form of
+    /// [`Topology::route`]: the network model routes every message into
+    /// one reused buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node id is out of range.
+    fn route_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>);
+
     /// The deterministic route from `src` to `dst`.
     ///
     /// # Panics
     ///
     /// Panics if either node id is out of range.
-    fn route(&self, src: NodeId, dst: NodeId) -> Route;
+    fn route(&self, src: NodeId, dst: NodeId) -> Route {
+        let mut links = Vec::new();
+        self.route_into(src, dst, &mut links);
+        Route::from_links(links)
+    }
 
     /// Short human-readable description, e.g. `"3-D torus 4x4x4"`.
     fn describe(&self) -> String;
@@ -222,6 +236,36 @@ mod tests {
         assert_eq!(r.links(), &[LinkId(3), LinkId(5)]);
         let collected: Vec<LinkId> = (&r).into_iter().collect();
         assert_eq!(collected, vec![LinkId(3), LinkId(5)]);
+    }
+
+    #[test]
+    fn route_into_replaces_a_reused_buffer() {
+        let mut g = Graph::new(4);
+        for i in 0..4 {
+            g.add_bidi(NodeId(i), NodeId((i + 1) % 4));
+        }
+        let nets: [Box<dyn Topology>; 7] = [
+            Box::new(Torus3d::new(4, 2, 2)),
+            Box::new(Mesh2d::new(4, 3)),
+            Box::new(Omega::new(16, 4)),
+            Box::new(Crossbar::new(5)),
+            Box::new(Hypercube::new(3)),
+            Box::new(FatTree::new(16, 4)),
+            Box::new(g),
+        ];
+        for t in &nets {
+            // One buffer across every pair, self-routes included: each
+            // call must leave exactly that pair's route behind.
+            let mut buf = vec![LinkId(usize::MAX); 9];
+            for s in 0..t.nodes() {
+                for d in 0..t.nodes() {
+                    t.route_into(NodeId(s), NodeId(d), &mut buf);
+                    let route = t.route(NodeId(s), NodeId(d));
+                    assert_eq!(buf, route.links(), "{} {s}->{d}", t.describe());
+                    assert_eq!(buf.is_empty(), s == d, "{}", t.describe());
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! edge nodes have fewer links and the center of the mesh carries more
 //! traffic — the source of the Paragon's contention behaviour at scale.
 
-use crate::{LinkId, NodeId, Route, Topology};
+use crate::{LinkId, NodeId, Topology};
 
 const DIRS: usize = 4; // +x, -x, +y, -y
 
@@ -118,32 +118,28 @@ impl Topology for Mesh2d {
         self.nodes() * DIRS
     }
 
-    fn route(&self, src: NodeId, dst: NodeId) -> Route {
+    fn route_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
         assert!(
             src.0 < self.nodes() && dst.0 < self.nodes(),
             "node out of range"
         );
-        if src == dst {
-            return Route::local();
-        }
+        out.clear();
         let (mut x, mut y) = self.coords(src);
         let (tx, ty) = self.coords(dst);
-        let mut links = Vec::with_capacity(x.abs_diff(tx) + y.abs_diff(ty));
         let mut at = src;
         while x != tx {
             let dir = if tx > x { 0 } else { 1 };
-            links.push(self.link(at, dir));
+            out.push(self.link(at, dir));
             x = if tx > x { x + 1 } else { x - 1 };
             at = self.node_at(x, y);
         }
         while y != ty {
             let dir = if ty > y { 2 } else { 3 };
-            links.push(self.link(at, dir));
+            out.push(self.link(at, dir));
             y = if ty > y { y + 1 } else { y - 1 };
             at = self.node_at(x, y);
         }
         debug_assert_eq!(at, dst);
-        Route::from_links(links)
     }
 
     fn describe(&self) -> String {

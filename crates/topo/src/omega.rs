@@ -11,7 +11,7 @@
 //! Two messages occupying the same wire in the same column at the same
 //! time contend — the Omega network's internal blocking.
 
-use crate::{LinkId, NodeId, Route, Topology};
+use crate::{LinkId, NodeId, Topology};
 
 /// A k-ary Omega network over `p` endpoints (padded up to a power of k).
 ///
@@ -95,15 +95,21 @@ impl Omega {
         LinkId(column * self.padded + wire)
     }
 
+    /// The wire a message on `pos` in column `t` moves to in column
+    /// `t + 1`: shuffle into a switch, leave on the port named by the
+    /// destination's `t`-th digit.
+    fn next_wire(&self, pos: usize, dst: NodeId, t: usize) -> usize {
+        let sw = self.shuffle(pos) / self.k;
+        sw * self.k + self.digit(dst.0, t)
+    }
+
     /// The wire a route occupies in each column, ending at the
     /// destination's delivery wire. Exposed for tests.
     pub fn wire_trace(&self, src: NodeId, dst: NodeId) -> Vec<usize> {
         let mut pos = src.0;
         let mut trace = vec![pos];
         for t in 0..self.stages {
-            pos = self.shuffle(pos);
-            let sw = pos / self.k;
-            pos = sw * self.k + self.digit(dst.0, t);
+            pos = self.next_wire(pos, dst, t);
             trace.push(pos);
         }
         trace
@@ -119,21 +125,21 @@ impl Topology for Omega {
         (self.stages + 1) * self.padded
     }
 
-    fn route(&self, src: NodeId, dst: NodeId) -> Route {
+    fn route_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
         assert!(
             src.0 < self.nodes && dst.0 < self.nodes,
             "node out of range"
         );
+        out.clear();
         if src == dst {
-            return Route::local();
+            return;
         }
-        let trace = self.wire_trace(src, dst);
-        let links = trace
-            .iter()
-            .enumerate()
-            .map(|(col, &wire)| self.wire_link(col, wire))
-            .collect();
-        Route::from_links(links)
+        let mut pos = src.0;
+        out.push(self.wire_link(0, pos));
+        for t in 0..self.stages {
+            pos = self.next_wire(pos, dst, t);
+            out.push(self.wire_link(t + 1, pos));
+        }
     }
 
     fn describe(&self) -> String {

@@ -5,7 +5,7 @@
 //! shorter wrap direction in each dimension. Each node has up to six
 //! outgoing unidirectional links (±X, ±Y, ±Z).
 
-use crate::{LinkId, NodeId, Route, Topology};
+use crate::{LinkId, NodeId, Topology};
 
 /// Directions out of a torus node, in routing order.
 const DIRS: usize = 6; // +x, -x, +y, -y, +z, -z
@@ -160,22 +160,18 @@ impl Topology for Torus3d {
         self.nodes() * DIRS
     }
 
-    fn route(&self, src: NodeId, dst: NodeId) -> Route {
+    fn route_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
         assert!(
             src.0 < self.nodes() && dst.0 < self.nodes(),
             "node out of range"
         );
-        if src == dst {
-            return Route::local();
-        }
+        out.clear();
         let (tx, ty, tz) = self.coords(dst);
-        let mut links = Vec::new();
         let mut at = src;
-        at = self.route_dim(&mut links, at, 0, tx);
-        at = self.route_dim(&mut links, at, 1, ty);
-        let end = self.route_dim(&mut links, at, 2, tz);
+        at = self.route_dim(out, at, 0, tx);
+        at = self.route_dim(out, at, 1, ty);
+        let end = self.route_dim(out, at, 2, tz);
         debug_assert_eq!(end, dst);
-        Route::from_links(links)
     }
 
     fn describe(&self) -> String {

@@ -7,6 +7,7 @@
 
 use harness::{measure, Protocol, SweepBuilder};
 use mpi_collectives_eval::prelude::*;
+use mpisim::RunOptions;
 use perfmodel::{fit_surface, paper, Growth};
 
 fn quick() -> Protocol {
@@ -249,4 +250,85 @@ fn startup_latency_monotone_in_machine_size() {
             }
         }
     }
+}
+
+// Schedule::check stores its verdict in the schedule value. These pin
+// that the stored verdict never outlives the steps it judged and never
+// shows in the schedule's value.
+
+fn sp2_bcast(p: usize) -> (Communicator, Schedule) {
+    let comm = Machine::sp2().communicator(p).expect("size");
+    let s = comm.schedule(OpClass::Bcast, Rank(0), 64).expect("schedule");
+    (comm, s)
+}
+
+#[test]
+fn push_after_a_run_fails_the_next_run() {
+    let (comm, mut s) = sp2_bcast(8);
+    comm.run_with(&[&s], RunOptions::default())
+        .expect("valid schedule runs");
+    // A receive nobody sends: the schedule can no longer complete.
+    s.push(
+        Rank(1),
+        Step::Recv {
+            from: Rank(0),
+            bytes: 64,
+        },
+    );
+    let err = comm
+        .run_with(&[&s], RunOptions::default())
+        .expect_err("the stored verdict must not survive a push");
+    assert!(matches!(err, SimMpiError::BadSchedule(_)), "{err:?}");
+}
+
+#[test]
+fn deadlock_is_reported_the_same_on_consecutive_runs() {
+    let comm = Machine::sp2().communicator(2).expect("size");
+    let mut s = Schedule::new(OpClass::Alltoall, 2);
+    s.push(
+        Rank(0),
+        Step::Recv {
+            from: Rank(1),
+            bytes: 8,
+        },
+    );
+    s.push(
+        Rank(1),
+        Step::Recv {
+            from: Rank(0),
+            bytes: 8,
+        },
+    );
+    let first = comm
+        .run_with(&[&s], RunOptions::default())
+        .expect_err("deadlock");
+    let second = comm
+        .run_with(&[&s], RunOptions::default())
+        .expect_err("deadlock");
+    assert!(
+        matches!(
+            first,
+            SimMpiError::BadSchedule(collectives::ScheduleError::DeadlockCycle { .. })
+        ),
+        "{first:?}"
+    );
+    assert_eq!(first, second);
+}
+
+#[test]
+fn checked_clone_equals_unchecked_copy() {
+    let (_, s) = sp2_bcast(16);
+    let unchecked = s.clone();
+    s.check().expect("valid");
+    let checked = s.clone();
+    assert_eq!(checked, unchecked);
+    assert_eq!(s, unchecked);
+}
+
+#[test]
+fn check_does_not_change_debug_output() {
+    let (_, s) = sp2_bcast(4);
+    let before = (format!("{s:?}"), format!("{s:#?}"));
+    s.check().expect("valid");
+    assert_eq!((format!("{s:?}"), format!("{s:#?}")), before);
 }
