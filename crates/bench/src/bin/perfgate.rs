@@ -14,7 +14,9 @@
 //!                        within each interleaved round, so reported
 //!                        numbers stay comparable to the committed
 //!                        baseline at any thread count (default 1)
-//!   --out FILE           report path (default BENCH_<date>.json)
+//!   --out FILE           report path (default
+//!                        crates/bench/BENCH_<date>.json, next to the
+//!                        committed reports `tracediff --history` reads)
 //!   --baseline FILE      baseline path (default crates/bench/baseline.json)
 //!   --update-baseline    overwrite the baseline with this run and exit
 //!   --report-only        never fail on regressions (still fails on
@@ -204,7 +206,10 @@ fn run() -> i32 {
         }
     };
 
-    let out_path = opts.out.clone().unwrap_or(format!("BENCH_{date}.json"));
+    let out_path = opts.out.clone().unwrap_or(format!(
+        "{}/BENCH_{date}.json",
+        env!("CARGO_MANIFEST_DIR")
+    ));
     let doc = current.to_json().to_string_pretty();
     if let Err(e) = std::fs::write(&out_path, &doc) {
         eprintln!("[perfgate] cannot write {out_path}: {e}");

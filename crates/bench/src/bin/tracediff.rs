@@ -300,42 +300,6 @@ fn run_suite(args: &Args) -> bool {
     identical == results.len()
 }
 
-/// Loads `baseline.json` plus every `BENCH_*.json` under the bench
-/// directory, oldest first (baseline, then date order — the dated
-/// filenames sort lexically).
-fn load_history(dir: &str) -> Vec<(String, BenchReport)> {
-    let mut reports = Vec::new();
-    let baseline = Path::new(dir).join("baseline.json");
-    if let Ok(text) = std::fs::read_to_string(&baseline) {
-        match BenchReport::from_json(&text) {
-            Ok(r) => reports.push(("baseline".to_string(), r)),
-            Err(e) => eprintln!("skipping {}: {e}", baseline.display()),
-        }
-    }
-    let mut dated: Vec<String> = walk(Path::new(dir))
-        .into_iter()
-        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        .collect();
-    dated.sort();
-    for name in dated {
-        let path = Path::new(dir).join(&name);
-        match std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| BenchReport::from_json(&text))
-        {
-            Ok(r) => {
-                let label = name
-                    .trim_start_matches("BENCH_")
-                    .trim_end_matches(".json")
-                    .to_string();
-                reports.push((label, r));
-            }
-            Err(e) => eprintln!("skipping {}: {e}", path.display()),
-        }
-    }
-    reports
-}
-
 /// The perf trajectory across all committed reports: one column per
 /// report, medians in µs, and a noise-aware flag on the latest
 /// transition.
@@ -408,7 +372,7 @@ fn render_history(reports: &[(String, BenchReport)]) -> String {
 }
 
 fn run_history(args: &Args) -> bool {
-    let reports = load_history(&args.bench_dir);
+    let reports = perfgate::load_history(Path::new(&args.bench_dir));
     if reports.is_empty() {
         eprintln!(
             "no benchmark reports (baseline.json / BENCH_*.json) under {}",

@@ -17,6 +17,7 @@ use desim::SplitMix64;
 use harness::{measure, Protocol};
 use mpisim::{Machine, OpClass, SimMpiError};
 use obs::Json;
+use std::path::Path;
 use std::time::Instant;
 
 /// Version stamp of the `BENCH_<date>.json` document layout. Bump on
@@ -561,6 +562,47 @@ pub fn run_suite(
     })
 }
 
+/// Loads `baseline.json` plus every `BENCH_*.json` report directly under
+/// `dir`, oldest first: baseline, then date order (the dated file names
+/// sort lexically). perfgate's `<out stem>.par.json` utilization
+/// sidecars are not reports and are left out; a report that fails to
+/// parse is skipped with a message on stderr.
+pub fn load_history(dir: &Path) -> Vec<(String, BenchReport)> {
+    let mut reports = Vec::new();
+    let baseline = dir.join("baseline.json");
+    if let Ok(text) = std::fs::read_to_string(&baseline) {
+        match BenchReport::from_json(&text) {
+            Ok(r) => reports.push(("baseline".to_string(), r)),
+            Err(e) => eprintln!("skipping {}: {e}", baseline.display()),
+        }
+    }
+    let mut dated: Vec<String> = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|entry| entry.file_name().into_string().ok())
+        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json") && !n.ends_with(".par.json"))
+        .collect();
+    dated.sort();
+    for name in dated {
+        let path = dir.join(&name);
+        match std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| BenchReport::from_json(&text))
+        {
+            Ok(r) => {
+                let label = name
+                    .trim_start_matches("BENCH_")
+                    .trim_end_matches(".json")
+                    .to_string();
+                reports.push((label, r));
+            }
+            Err(e) => eprintln!("skipping {}: {e}", path.display()),
+        }
+    }
+    reports
+}
+
 /// `YYYY-MM-DD` from a Unix timestamp (civil-from-days, Gregorian).
 pub fn iso_date(unix_secs: u64) -> String {
     let days = (unix_secs / 86_400) as i64;
@@ -638,13 +680,32 @@ mod tests {
     }
 
     #[test]
+    fn history_reads_every_committed_report_newest_last() {
+        let history = load_history(Path::new(env!("CARGO_MANIFEST_DIR")));
+        let labels: Vec<&str> = history.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(labels.first(), Some(&"baseline"), "{labels:?}");
+        for committed in ["2026-08-06", "2026-08-09"] {
+            assert!(labels.contains(&committed), "{committed} missing: {labels:?}");
+        }
+        let dated = &labels[1..];
+        assert!(
+            dated.windows(2).all(|w| w[0] < w[1]),
+            "dated reports out of order: {labels:?}"
+        );
+        assert!(
+            dated.iter().all(|l| !l.ends_with(".par")),
+            "a .par.json sidecar was read as a report: {labels:?}"
+        );
+    }
+
+    #[test]
     fn committed_reports_still_parse() {
         // The committed reports are history, read by `tracediff --history`
         // and perfgate's schema fail-fast. They keep metric keys of
         // retired features; parsing must not depend on the current set.
         for path in [
             concat!(env!("CARGO_MANIFEST_DIR"), "/baseline.json"),
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_2026-08-09.json"),
+            concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_2026-08-09.json"),
         ] {
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
             let report = BenchReport::from_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
