@@ -206,10 +206,10 @@ fn run() -> i32 {
         }
     };
 
-    let out_path = opts.out.clone().unwrap_or(format!(
-        "{}/BENCH_{date}.json",
-        env!("CARGO_MANIFEST_DIR")
-    ));
+    let out_path = opts
+        .out
+        .clone()
+        .unwrap_or(format!("{}/BENCH_{date}.json", env!("CARGO_MANIFEST_DIR")));
     let doc = current.to_json().to_string_pretty();
     if let Err(e) = std::fs::write(&out_path, &doc) {
         eprintln!("[perfgate] cannot write {out_path}: {e}");

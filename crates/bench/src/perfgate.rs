@@ -685,7 +685,10 @@ mod tests {
         let labels: Vec<&str> = history.iter().map(|(l, _)| l.as_str()).collect();
         assert_eq!(labels.first(), Some(&"baseline"), "{labels:?}");
         for committed in ["2026-08-06", "2026-08-09"] {
-            assert!(labels.contains(&committed), "{committed} missing: {labels:?}");
+            assert!(
+                labels.contains(&committed),
+                "{committed} missing: {labels:?}"
+            );
         }
         let dated = &labels[1..];
         assert!(

@@ -39,10 +39,9 @@ pub struct ExecConfig {
     /// skewed arrival). Default: everyone starts at time zero.
     pub start_times: Option<Vec<SimTime>>,
     /// Run the schedules without validating them. Not a performance
-    /// knob: [`Schedule::check`] stores its verdict, so a validated
-    /// schedule costs nothing to validate again. It exists so stall
-    /// tests can execute invalid schedules and observe
-    /// [`SimMpiError::RankStalled`].
+    /// knob: [`Schedule::check`] stores its verdict, so validating a
+    /// schedule again is a lookup. It exists so stall tests can execute
+    /// invalid schedules and observe [`SimMpiError::RankStalled`].
     pub skip_validation: bool,
     /// Record a per-message trace (see [`MessageTrace`]). Off by default:
     /// tracing a 128-node alltoall allocates one record per message.

@@ -388,8 +388,9 @@ impl NetState {
         // Wire traversal, optionally packetized: each segment reserves
         // injection and link occupancy independently, so competing
         // traffic interleaves at segment granularity. The route is
-        // computed afresh into the scratch buffer (every topology the
-        // machines build routes arithmetically, in a few ns per hop), a
+        // computed afresh into the scratch buffer: every topology a
+        // `TopologyKind` builds routes by arithmetic on node ids, with no
+        // search, so there is nothing worth caching. The buffer is a
         // field apart from the resource pools the loop below borrows.
         let stream_ns_per_byte = spec.link_ns_per_byte.max(engine_ns_per_byte);
         let total_bytes = bytes.max(spec.min_packet_bytes);

@@ -258,7 +258,9 @@ fn startup_latency_monotone_in_machine_size() {
 
 fn sp2_bcast(p: usize) -> (Communicator, Schedule) {
     let comm = Machine::sp2().communicator(p).expect("size");
-    let s = comm.schedule(OpClass::Bcast, Rank(0), 64).expect("schedule");
+    let s = comm
+        .schedule(OpClass::Bcast, Rank(0), 64)
+        .expect("schedule");
     (comm, s)
 }
 
